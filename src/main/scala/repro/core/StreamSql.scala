@@ -2,8 +2,10 @@ package repro.core
 
 import scala.collection.mutable
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.col
+import scala.collection.immutable.TreeMap
+
+import org.apache.spark.sql.{DataFrame, LogicalPlanFrames, Row, SparkSession}
+import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.types._
 
 import repro.core.EventTimeAlignment.Align
@@ -15,13 +17,23 @@ import repro.tvr.{Diff, Times, Tvr}
   * modifiers of Section 6.5.
   *
   * This is the *reference evaluator*: semantics first. The result TVR is
-  * re-evaluated (pointwise, per Section 3.1) at every tick — every
-  * processing time at which any input changes or any watermark advances —
-  * and consecutive snapshots are bag-diffed into the changelog, which is
+  * observed (pointwise, per Section 3.1) at every tick — every processing
+  * time at which any input changes or any watermark advances — and
+  * consecutive snapshots are bag-diffed into the changelog, which is
   * exactly the paper's definition of the stream rendering of a TVR. It is
   * correct by construction and used to pin down every listing in the
   * paper; [[repro.engine.MicroBatchEngine]] is the scalable incremental
   * counterpart benchmarked against it.
+  *
+  * A stream-mode query is executed once for all ticks: [[Lift]] rewrites
+  * its plan so that one Spark execution yields the snapshot at every input
+  * change tick, and a watermark-only tick or timer firing reuses the
+  * snapshot of the latest change tick at or before it (a result depends
+  * only on the input snapshots). Plans [[Lift]] cannot rewrite — global
+  * aggregates, LIMIT, full outer joins, subqueries, window functions —
+  * fall back to executing the query at every tick
+  * ([[liftFallbackReason]] says why). The table rendering executes the
+  * query once, at `now`.
   *
   * Responsibilities:
   *   - registry of named TVRs (streams are unbounded append-only TVRs,
@@ -38,27 +50,27 @@ final class StreamSqlSession(val spark: SparkSession) {
   WindowExpressions.register(spark)
   StreamSqlSession.installRule(spark)
 
-  // Tick ptimes are computed from the unstamped changelog at
-  // registration: the bookkeeping DISTINCT would otherwise itself trip
+  // Change ptimes are computed from the unstamped changelog at
+  // registration: the bookkeeping aggregation would otherwise itself trip
   // Extension 2's rule on the stamped (unbounded-marked) relation.
-  private final case class Registered(tvr: Tvr, unbounded: Boolean, tickPtimes: Seq[Long])
+  private final case class Registered(tvr: Tvr, unbounded: Boolean, changes: Seq[Long])
   private val tvrs = mutable.LinkedHashMap.empty[String, Registered]
 
   /** Register an unbounded stream (append-only TVR, usually with an
     * event-time column and watermark).
     */
   def registerStream(name: String, tvr: Tvr): Unit =
-    tvrs(name) = Registered(stamp(name, tvr, unbounded = true), unbounded = true, tvr.tickPtimes)
+    tvrs(name) = Registered(stamp(name, tvr, unbounded = true), unbounded = true, tvr.changePtimes)
 
   /** Register a classic (bounded, static) table. */
   def registerTable(name: String, df: DataFrame): Unit = {
     val t = Tvr.fromStatic(df)
-    tvrs(name) = Registered(t, unbounded = false, t.tickPtimes)
+    tvrs(name) = Registered(t, unbounded = false, t.changePtimes)
   }
 
   /** Register a bounded TVR (e.g. a recorded stream replayed as a table). */
   def registerBoundedTvr(name: String, tvr: Tvr): Unit =
-    tvrs(name) = Registered(stamp(name, tvr, unbounded = false), unbounded = false, tvr.tickPtimes)
+    tvrs(name) = Registered(stamp(name, tvr, unbounded = false), unbounded = false, tvr.changePtimes)
 
   /** Stamp alignment metadata into the changelog's *leaf schema*: every
     * attribute derived from it then carries the marker natively, which —
@@ -83,16 +95,24 @@ final class StreamSqlSession(val spark: SparkSession) {
   private final case class Compiled(
       baseSql: String,
       emit: EmitSpec,
-      windows: Seq[WindowTvfRewriter.AppliedWindow],
+      plan: LogicalPlan,        // analyzed, over the snapshot views
       schema: StructType,
       gates: Seq[(Int, Align)], // output ordinal -> alignment
   )
+
+  /** Result rows of one group, as a bag keyed by full row values. */
+  private type Bag = Map[Seq[Any], Int]
+  /** A result snapshot indexed by group key. */
+  private type Groups = Map[Seq[Any], Bag]
 
   /** Late-bound per-group key: the gate column values (the event-time
     * window identity), or the whole row when the query has no gates.
     */
   private def groupKey(c: Compiled, row: Seq[Any]): Seq[Any] =
     if (c.gates.isEmpty) row else c.gates.map { case (i, _) => row(i) }
+
+  private def groups(c: Compiled, rows: Seq[Seq[Any]]): Groups =
+    rows.groupMapReduce(identity)(_ => 1)(_ + _).groupBy { case (r, _) => groupKey(c, r) }
 
   private def registerSnapshotViews(p: Long): Unit =
     tvrs.foreach { case (name, Registered(tvr, _, _)) =>
@@ -114,7 +134,7 @@ final class StreamSqlSession(val spark: SparkSession) {
     // (strict) only gate when the query exposes no window bounds.
     val bounds  = all.filter(!_._2.strict)
     val gates   = if (bounds.nonEmpty) bounds else all
-    Compiled(rewritten.sql, emit, rewritten.windows, df.schema, gates)
+    Compiled(rewritten.sql, emit, df.queryExecution.analyzed, df.schema, gates)
   }
 
   private def eval(c: Compiled, p: Long): Seq[Row] = {
@@ -127,10 +147,10 @@ final class StreamSqlSession(val spark: SparkSession) {
       .getOrElse(throw new StreamSqlAnalysisException(s"TVR $source has no event time column"))
       .watermark
 
-  /** Whether a row (by its gate values) is complete at processing time p. */
-  private def rowComplete(c: Compiled, row: Seq[Any], p: Long): Boolean =
-    c.gates.forall { case (i, al) =>
-      row(i) match {
+  /** Whether a group (its gate values) is complete at processing time p. */
+  private def groupComplete(c: Compiled, g: Seq[Any], p: Long): Boolean =
+    c.gates.zip(g).forall { case ((_, al), v) =>
+      v match {
         case null         => false
         case t: java.sql.Timestamp =>
           wmOf(al.source).isComplete(Times.ms(t) + al.deltaMs, p, strict = al.strict)
@@ -139,9 +159,48 @@ final class StreamSqlSession(val spark: SparkSession) {
       }
     }
 
+  /** Input change ticks, ascending, <= now. */
+  private def changeTicks(now: Long): Seq[Long] =
+    tvrs.values.flatMap(_.changes).toSeq.distinct.sorted.filter(_ <= now)
+
   /** All ticks (input changes and watermark advances), ascending, <= now. */
   private def ticks(now: Long): Seq[Long] =
-    tvrs.values.flatMap(_.tickPtimes).toSeq.distinct.sorted.filter(_ <= now)
+    tvrs.values.flatMap(r => r.tvr.tickPtimes(r.changes)).toSeq.distinct.sorted.filter(_ <= now)
+
+  /** The query lifted over `ticks` (see [[Lift]]), or why it cannot be. */
+  private def lift(c: Compiled, ticks: Seq[Long]): Either[String, LogicalPlan] =
+    Lift(c.plan, name =>
+      tvrs.collectFirst { case (n, r) if n.equalsIgnoreCase(name) =>
+        r.tvr.liftedSnapshots(ticks).queryExecution.analyzed
+      })
+
+  /** The result snapshot in effect at each processing time <= now: one
+    * execution of the lifted plan, split by tick. A time between change
+    * ticks sees the latest change tick at or before it; before the first,
+    * the result is empty (every liftable plan maps empty inputs to an
+    * empty result).
+    */
+  private def liftedResults(c: Compiled, plan: LogicalPlan, changes: Seq[Long]): Long => Groups = {
+    val n = c.schema.length
+    val rows =
+      if (changes.isEmpty) Array.empty[Row]
+      else LogicalPlanFrames.ofRows(spark, plan).collect()
+    val byTick = rows.toSeq.groupBy(_.getLong(n)).map { case (t, rs) => t -> groups(c, rs.map(_.toSeq.take(n))) }
+    val at = TreeMap(changes.map(t => t -> byTick.getOrElse(t, Map.empty[Seq[Any], Bag])): _*)
+    p => at.rangeTo(p).lastOption.fold(Map.empty[Seq[Any], Bag])(_._2)
+  }
+
+  /** The result snapshot at each tick, by executing the query at that tick
+    * (the oracle for lifted evaluation, and the fallback). Times after the
+    * last tick see the last tick.
+    */
+  private def perTickResults(c: Compiled, allTicks: Seq[Long]): Long => Groups = {
+    val cache = mutable.Map.empty[Long, Groups]
+    p => {
+      val q = allTicks.lastOption.fold(p)(math.min(_, p))
+      cache.getOrElseUpdate(q, groups(c, eval(c, q).map(_.toSeq)))
+    }
+  }
 
   // ------------------------------------------------------------------
   // Public API
@@ -153,7 +212,16 @@ final class StreamSqlSession(val spark: SparkSession) {
     * table rendering; any `EMIT STREAM` variant produces the changelog
     * rendering with `undo`, `ptime`, `ver` columns (Extension 4).
     */
-  def sql(sqlText: String, now: Long = Long.MaxValue / 2): DataFrame = {
+  def sql(sqlText: String, now: Long = Long.MaxValue / 2): DataFrame =
+    run(sqlText, now, lifting = true)
+
+  /** [[sql]] with every stream-mode tick executed separately: the oracle
+    * the lifted evaluation is tested against.
+    */
+  private[repro] def sqlPerTick(sqlText: String, now: Long = Long.MaxValue / 2): DataFrame =
+    run(sqlText, now, lifting = false)
+
+  private def run(sqlText: String, now: Long, lifting: Boolean): DataFrame = {
     val c = compile(sqlText)
     if (c.emit.isDefaultTable) {
       val rows = eval(c, now)
@@ -164,11 +232,21 @@ final class StreamSqlSession(val spark: SparkSession) {
         throw new StreamSqlAnalysisException(
           "EMIT AFTER WATERMARK requires a watermark-aligned event-time column " +
             "in the query output (none found by alignment analysis)")
-      val changelog = runStream(c, now)
+      val allTicks = ticks(now)
+      val changes  = changeTicks(now)
+      val lifted   = if (lifting) lift(c, changes).toOption else None
+      val curAt    = lifted.fold(perTickResults(c, allTicks))(liftedResults(c, _, changes))
+      val changelog = runStream(c, allTicks, now, curAt)
       if (c.emit.stream) changelogDf(c, changelog)
       else tableFromChangelog(c, changelog)
     }
   }
+
+  /** Why `sqlText` cannot be evaluated lifted over ticks (and so executes
+    * once per tick in stream mode), or `None` when it can.
+    */
+  def liftFallbackReason(sqlText: String): Option[String] =
+    lift(compile(sqlText), Nil).left.toOption
 
   /** The output alignment of a query's plan, for inspection/tests. */
   def alignmentOf(sqlText: String): Seq[(String, Align)] = {
@@ -184,19 +262,24 @@ final class StreamSqlSession(val spark: SparkSession) {
 
   private final case class Change(row: Seq[Any], undo: Boolean, ptime: Long, ver: Int)
 
-  /** Run the materialization state machine over all ticks <= now and
-    * return the emitted changelog (Extensions 4–7 semantics; see
+  /** Run the materialization state machine over `allTicks` (those <= now)
+    * and return the emitted changelog (Extensions 4–7 semantics; see
     * DESIGN.md "Semantics pinned down" for the listing-by-listing
-    * derivation).
+    * derivation). `curAt(p)` is the result snapshot at processing time p.
+    *
+    * State is indexed by group key, so each step touches only the groups
+    * it changes; groups that change at the same instant are visited in
+    * [[Diff.sortKey]] order, independent of Spark's row order.
     */
-  private def runStream(c: Compiled, now: Long): Seq[Change] = {
+  private def runStream(c: Compiled, allTicks: Seq[Long], now: Long, curAt: Long => Groups): Seq[Change] = {
     val emit        = c.emit
     val out         = Vector.newBuilder[Change]
     val verCounter  = mutable.Map.empty[Seq[Any], Int].withDefaultValue(0)
-    // Rows currently materialized, as a bag keyed by full row values.
-    var materialized = Map.empty[Seq[Any], Int]
+    // Rows currently materialized, per group (no empty bags).
+    val materialized = mutable.Map.empty[Seq[Any], Bag]
     val completed    = mutable.Set.empty[Seq[Any]]          // gated groups already final
     val timers       = mutable.SortedMap.empty[Long, mutable.LinkedHashSet[Seq[Any]]]
+    val timerOf      = mutable.Map.empty[Seq[Any], Long]    // group -> its pending timer
 
     def emitChanges(p: Long, dels: Seq[Seq[Any]], ins: Seq[Seq[Any]]): Unit = {
       dels.foreach { r =>
@@ -209,62 +292,69 @@ final class StreamSqlSession(val spark: SparkSession) {
       }
     }
 
-    def bagOfGroup(bag: Map[Seq[Any], Int], g: Seq[Any]): Map[Seq[Any], Int] =
-      bag.filter { case (r, _) => groupKey(c, r) == g }
-
     def armTimer(g: Seq[Any], at: Long): Unit =
-      if (!timers.values.exists(_.contains(g)))
+      if (!timerOf.contains(g)) {
+        timerOf(g) = at
         timers.getOrElseUpdate(at, mutable.LinkedHashSet.empty) += g
+      }
+
+    def cancelTimer(g: Seq[Any]): Unit =
+      timerOf.remove(g).foreach(at => timers.get(at).foreach(_ -= g))
+
+    def setMaterialized(g: Seq[Any], bag: Option[Bag]): Unit = bag match {
+      case Some(b) => materialized(g) = b
+      case None    => materialized -= g
+    }
 
     /** Emit the delta for group `g` against `cur`, at ptime `p`. */
-    def materializeGroup(cur: Map[Seq[Any], Int], g: Seq[Any], p: Long): Unit = {
-      val before       = bagOfGroup(materialized, g)
-      val after        = bagOfGroup(cur, g)
-      val (ins, dels)  = Diff.bagDiff(before, after)
+    def materializeGroup(cur: Groups, g: Seq[Any], p: Long): Unit = {
+      val (ins, dels) = Diff.bagDiff(materialized.getOrElse(g, Map.empty), cur.getOrElse(g, Map.empty))
       if (ins.nonEmpty || dels.nonEmpty) {
         emitChanges(p, dels, ins)
-        materialized = materialized.view.filterKeys(r => groupKey(c, r) != g).toMap ++ after
+        setMaterialized(g, cur.get(g))
       }
     }
 
-    def fireTimersUpTo(p: Long, curAt: Long => Map[Seq[Any], Int]): Unit = {
+    /** Groups whose rows in `cur` differ from the materialized ones. */
+    def changedGroups(cur: Groups): Seq[Seq[Any]] =
+      (materialized.keySet ++ cur.keySet).toSeq
+        .filter(g => materialized.get(g) != cur.get(g))
+        .sortBy(Diff.sortKey)
+
+    /** Groups of `cur` not yet final whose watermark has passed at p. */
+    def newlyComplete(cur: Groups, p: Long): Seq[Seq[Any]] =
+      cur.keys.toSeq
+        .filter(g => !completed.contains(g) && groupComplete(c, g, p))
+        .sortBy(Diff.sortKey)
+
+    def fireTimersUpTo(p: Long): Unit = {
       while (timers.nonEmpty && timers.head._1 <= p) {
         val (fireAt, groups) = timers.head
         timers.remove(fireAt)
+        groups.foreach(timerOf.remove)
         val cur = curAt(fireAt)
         groups.foreach { g => if (!completed.contains(g)) materializeGroup(cur, g, fireAt) }
       }
     }
 
-    val allTicks = ticks(now)
-    val curCache = mutable.Map.empty[Long, Map[Seq[Any], Int]]
-    def curAt(p: Long): Map[Seq[Any], Int] =
-      curCache.getOrElseUpdate(p, Diff.toBag(eval(c, p)))
-
     for (p <- allTicks) {
-      if (emit.delayMs.isDefined) fireTimersUpTo(p - 1, curAt)
+      if (emit.delayMs.isDefined) fireTimersUpTo(p - 1)
       val cur = curAt(p)
 
       (emit.afterWatermark, emit.delayMs) match {
         case (false, None) =>
           // Continuous changelog (Extension 4 / Listing 9): every change
           // materializes instantly.
-          val (ins, dels) = Diff.bagDiff(materialized, cur)
+          val changed     = changedGroups(cur)
+          def rows(bagOf: Seq[Any] => Option[Bag]): Bag = changed.flatMap(bagOf(_).getOrElse(Map.empty)).toMap
+          val (ins, dels) = Diff.bagDiff(rows(materialized.get), rows(cur.get))
           emitChanges(p, dels, ins)
-          materialized = cur
+          changed.foreach(g => setMaterialized(g, cur.get(g)))
 
         case (true, None) =>
           // Completeness-only (Extension 5 / Listing 13): a gated group
           // materializes exactly once, when the watermark passes it.
-          val newlyComplete = cur.keys
-            .map(groupKey(c, _))
-            .toSeq.distinct
-            .filterNot(completed.contains)
-            .filter { g =>
-              // Complete iff every row of the group is complete at p.
-              cur.keys.filter(groupKey(c, _) == g).forall(rowComplete(c, _, p))
-            }
-          newlyComplete.foreach { g => materializeGroup(cur, g, p); completed += g }
+          newlyComplete(cur, p).foreach { g => materializeGroup(cur, g, p); completed += g }
 
         case (_, Some(d)) =>
           // Periodic delay (Extensions 6/7 / Listing 14): first change to
@@ -272,28 +362,18 @@ final class StreamSqlSession(val spark: SparkSession) {
           // group's then-current delta. With AFTER WATERMARK, completion
           // also fires immediately (the on-time row) and freezes the
           // group (late inputs dropped, Extension 2).
-          val changedGroups = {
-            val (ins, dels) = Diff.bagDiff(materialized, cur)
-            (ins ++ dels).map(groupKey(c, _)).distinct
-          }
-          changedGroups.filterNot(completed.contains).foreach(armTimer(_, p + d))
-          if (emit.afterWatermark) {
-            val nowComplete = cur.keys
-              .map(groupKey(c, _))
-              .toSeq.distinct
-              .filterNot(completed.contains)
-              .filter(g => cur.keys.filter(groupKey(c, _) == g).forall(rowComplete(c, _, p)))
-            nowComplete.foreach { g =>
+          changedGroups(cur).filterNot(completed.contains).foreach(armTimer(_, p + d))
+          if (emit.afterWatermark)
+            newlyComplete(cur, p).foreach { g =>
               materializeGroup(cur, g, p)
               completed += g
-              timers.values.foreach(_.remove(g))
+              cancelTimer(g)
             }
-          }
       }
     }
 
     // Drain timers that fire after the last tick (but within `now`).
-    if (emit.delayMs.isDefined) fireTimersUpTo(now, p => curAt(allTicks.lastOption.fold(p)(math.min(_, p))))
+    if (emit.delayMs.isDefined) fireTimersUpTo(now)
 
     out.result()
   }

@@ -108,9 +108,13 @@ final class MicroBatchEngine(spark: SparkSession) {
         .groupBy("wstart", "wend")
         .agg(max(struct(col("price"), col("bidtime"), col("item"))).as("top"))
 
-      // Merge into state; count windows whose top changed for emission.
+      // Merge into state; keep each window's previous top (`__old`, null
+      // for a new window) to count the changelog rows the merge emits.
       val merged =
-        if (!stateInitialized) batchAgg.withColumn("__changed", lit(true))
+        if (!stateInitialized)
+          batchAgg
+            .withColumn("__changed", lit(true))
+            .withColumn("__old", lit(null).cast(batchAgg.schema("top").dataType))
         else {
           val s = state.select(col("wstart"), col("wend"), col("top").as("__old"))
           s.join(batchAgg.withColumnRenamed("top", "__new"), Seq("wstart", "wend"), "full_outer")
@@ -120,7 +124,7 @@ final class MicroBatchEngine(spark: SparkSession) {
                 .when(col("__new") > col("__old"), col("__new"))
                 .otherwise(col("__old")))
             .withColumn("__changed", col("__old").isNull || col("top") =!= col("__old"))
-            .select(col("wstart"), col("wend"), col("top"), col("__changed"))
+            .select(col("wstart"), col("wend"), col("top"), col("__changed"), col("__old"))
         }
       val mergedP = merged.localCheckpoint(true)
       stateInitialized = true
@@ -128,19 +132,17 @@ final class MicroBatchEngine(spark: SparkSession) {
       val wm = wmAfter(b)
       val (emitted, nextState) = mode match {
         case EngineMode.Continuous =>
-          // Every changed window emits its new top (plus an undo of the
-          // previous top when one existed) — counted as changelog rows.
-          // First-ever materialization of a window has no undo row.
-          val changed = mergedP.where(col("__changed")).count()
-          val firsts =
-            if (mergedP.columns.contains("__old"))
-              mergedP.where(col("__changed") && col("__old").isNull).count()
-            else changed
-          (2 * changed - firsts, mergedP.drop("__changed", "__old", "__new"))
+          // Every changed window emits its new top, plus an undo of the
+          // previous top when one existed (a window's first materialization
+          // has none) — both counted in one action.
+          val counts = mergedP
+            .agg(count(when(col("__changed"), 1)), count(when(col("__changed") && col("__old").isNotNull, 1)))
+            .head()
+          (counts.getLong(0) + counts.getLong(1), mergedP.drop("__changed", "__old"))
         case EngineMode.AfterWatermark =>
           val closing = mergedP.where(unix_millis(col("wend")) <= wm)
           val open    = mergedP.where(unix_millis(col("wend")) > wm)
-          (closing.count(), open.drop("__changed", "__old", "__new"))
+          (closing.count(), open.drop("__changed", "__old"))
       }
       state = nextState.localCheckpoint(true)
       emittedT += emitted

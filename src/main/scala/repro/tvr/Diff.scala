@@ -50,12 +50,17 @@ object Diff {
   def toBag(rows: Seq[Row]): Map[Seq[Any], Int] =
     rows.groupBy(r => r.toSeq).map { case (k, v) => (k, v.size) }
 
+  /** The deterministic order of rows (and of group keys) in a changelog:
+    * the values' strings, concatenated.
+    */
+  def sortKey(row: Seq[Any]): String = row.mkString("")
+
   /** Bag difference: rows to insert (positive multiplicity) and rows to
-    * retract, in deterministic (sorted-by-string) order.
+    * retract, in deterministic ([[sortKey]]) order.
     */
   def bagDiff(before: Map[Seq[Any], Int], after: Map[Seq[Any], Int])
       : (Seq[Seq[Any]], Seq[Seq[Any]]) = {
-    val keys = (before.keySet ++ after.keySet).toSeq.sortBy(_.mkString(""))
+    val keys = (before.keySet ++ after.keySet).toSeq.sortBy(sortKey)
     val ins  = Vector.newBuilder[Seq[Any]]
     val del  = Vector.newBuilder[Seq[Any]]
     keys.foreach { k =>

@@ -46,14 +46,30 @@ final case class Tvr(
     * metadata — which carries event-time/watermark alignment — flows
     * through unchanged.
     */
-  def snapshotAt(p: Long): DataFrame = {
-    val upTo = changelog.where(unix_millis(col(PtimeCol)) <= p)
+  def snapshotAt(p: Long): DataFrame =
+    netBag(changelog.where(unix_millis(col(PtimeCol)) <= p), dataColumns)
+
+  /** The rows of `changes` with a positive net multiplicity per `keys`. */
+  private def netBag(changes: DataFrame, keys: Seq[String]): DataFrame =
     Diff.expand(
-      upTo
-        .groupBy(dataColumns.map(col): _*)
+      changes
+        .groupBy(keys.map(col): _*)
         .agg(sum(when(col(UndoCol), -1L).otherwise(1L)).as("__cnt"))
         .where(col("__cnt") > 0)
     )
+
+  /** Every snapshot at once: the bag of `snapshotAt(t)` for each `t` in
+    * `ticks`, as the data columns plus a `__tick` (epoch-ms) column.
+    *
+    * Each changelog row is stamped with every tick at or after its
+    * `__ptime` (an `explode`, not a join, so no extra Spark job), and the
+    * net multiplicity is taken per `(__tick, data columns)` exactly as in
+    * [[snapshotAt]]; the alignment metadata flows through likewise.
+    */
+  def liftedSnapshots(ticks: Seq[Long]): DataFrame = {
+    val stamped = changelog.withColumn(TickCol,
+      explode(filter(typedLit(ticks.sorted), t => t >= unix_millis(col(PtimeCol)))))
+    netBag(stamped, dataColumns :+ TickCol)
   }
 
   /** The final snapshot (all changes applied). */
@@ -72,7 +88,10 @@ final case class Tvr(
   /** All ticks at which downstream results can change: data changes plus
     * watermark advances (watermarks are semantic inputs — Section 6.2).
     */
-  def tickPtimes: Seq[Long] =
+  def tickPtimes: Seq[Long] = tickPtimes(changePtimes)
+
+  /** [[tickPtimes]] from this TVR's already collected `changePtimes`. */
+  def tickPtimes(changePtimes: Seq[Long]): Seq[Long] =
     (changePtimes ++ eventTime.map(_.watermark.tickPtimes).getOrElse(Vector.empty)).distinct.sorted
 
   def withWatermark(column: String, wm: WatermarkTimeline): Tvr =
@@ -82,6 +101,7 @@ final case class Tvr(
 object Tvr {
   val PtimeCol = "__ptime"
   val UndoCol  = "__undo"
+  val TickCol  = "__tick"
 
   /** Wrap a static DataFrame as a TVR (single snapshot at epoch 0). */
   def fromStatic(df: DataFrame): Tvr = Tvr(

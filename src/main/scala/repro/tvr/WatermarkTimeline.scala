@@ -19,10 +19,24 @@ final case class WatermarkTimeline(advances: Vector[(Long, Long)]) {
     s"watermark advances must be monotone in both coordinates: $advances"
   )
 
+  /** Binary search: index of the first advance satisfying `ok`, which must
+    * be false and then true along `advances` (both coordinates are
+    * monotone); `advances.length` if no advance does.
+    */
+  private def firstIndex(ok: ((Long, Long)) => Boolean): Int = {
+    var lo = 0
+    var hi = advances.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (ok(advances(mid))) hi = mid else lo = mid + 1
+    }
+    lo
+  }
+
   /** Watermark value at processing time `p` (Long.MinValue if none yet). */
   def at(p: Long): Long = {
-    val past = advances.takeWhile(_._1 <= p)
-    if (past.isEmpty) Long.MinValue else past.last._2
+    val i = firstIndex(_._1 > p)
+    if (i == 0) Long.MinValue else advances(i - 1)._2
   }
 
   /** First processing time at which the watermark reaches at least
@@ -30,14 +44,14 @@ final case class WatermarkTimeline(advances: Vector[(Long, Long)]) {
     * window *end* is complete from this instant (Extension 2 / Listing 12).
     */
   def firstPtimeAtOrAbove(eventTime: Long): Option[Long] =
-    advances.find(_._2 >= eventTime).map(_._1)
+    advances.lift(firstIndex(_._2 >= eventTime)).map(_._1)
 
   /** First processing time at which the watermark strictly exceeds
     * `eventTime` — completeness instant for groupings on raw event
     * timestamps.
     */
   def firstPtimeAbove(eventTime: Long): Option[Long] =
-    advances.find(_._2 > eventTime).map(_._1)
+    advances.lift(firstIndex(_._2 > eventTime)).map(_._1)
 
   /** Whether a grouping with completeness threshold `eventTime` is
     * complete at processing time `p`. `strict` selects `wm > t` (raw

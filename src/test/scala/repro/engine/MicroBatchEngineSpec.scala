@@ -74,10 +74,20 @@ class MicroBatchEngineSpec extends SparkSpec {
   }
 
   test("micro-batching coalesces updates: engine emits no more than per-event continuous") {
-    val res     = engine.run(events, TenMin, numBatches = 8, EngineMode.Continuous)
+    val res      = engine.run(events, TenMin, numBatches = 8, EngineMode.Continuous)
     val perEvent = StreamAnalytics.continuousEmissions(events, TenMin)
-    assert(res.totalEmitted <= perEvent)
-    assert(res.totalEmitted >= truth.size) // at least one insert per window
+    // windows <= engine <= per-event: at least one insert per window, and
+    // batching can only merge the per-event changes.
+    assert(truth.size <= res.totalEmitted && res.totalEmitted <= perEvent)
+    // A window whose top changes c times emits c inserts and c - 1 undos:
+    // the excess over one row per window is two rows per revision.
+    assert((res.totalEmitted - truth.size) % 2 == 0)
+    assert(res.totalEmitted > truth.size, "8 batches should revise some window")
+  }
+
+  test("a single batch emits exactly one insert per window and no undo") {
+    val res = engine.run(events, TenMin, numBatches = 1, EngineMode.Continuous)
+    assert(res.totalEmitted == truth.size)
   }
 
   test("more batches means finer coalescing (emissions grow with batch count)") {

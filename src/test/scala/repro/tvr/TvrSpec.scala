@@ -48,10 +48,26 @@ class TvrSpec extends SparkSpec {
     assert(t.changePtimes == Seq(10L, 30L))
   }
 
+  test("liftedSnapshots holds snapshotAt of every tick") {
+    val ticks = Seq(5L, 10L, 11L, 20L, 30L)
+    def byTick(t: Tvr): Map[Long, Seq[(String, Int)]] =
+      t.liftedSnapshots(ticks).collect().toSeq
+        .groupBy(_.getLong(2)).map { case (k, rs) => k -> rs.map(r => (r.getString(0), r.getInt(1))).sorted }
+    def snapshots(t: Tvr): Map[Long, Seq[(String, Int)]] =
+      ticks.map(p => p -> t.snapshotAt(p).as[(String, Int)].collect().toSeq.sorted)
+        .filter(_._2.nonEmpty).toMap
+    val appendOnly = tvr((10L, false, ("a", 1)), (11L, false, ("a", 1)), (30L, false, ("b", 2)))
+    val retracting = tvr((10L, false, ("a", 1)), (11L, false, ("a", 1)), (20L, true, ("a", 1)),
+      (30L, true, ("a", 1)))
+    assert(byTick(appendOnly) == snapshots(appendOnly))
+    assert(byTick(retracting) == snapshots(retracting))
+  }
+
   test("tickPtimes merges data changes with watermark advances") {
     val wm = WatermarkTimeline(Vector((15L, 5L), (40L, 30L)))
     val t  = tvr((10L, false, ("a", 1))).withWatermark("k", wm) // column irrelevant here
     assert(t.tickPtimes == Seq(10L, 15L, 40L))
+    assert(t.tickPtimes(Seq(10L, 20L)) == Seq(10L, 15L, 20L, 40L))
   }
 
   test("fromStatic wraps a DataFrame as a single-snapshot TVR") {

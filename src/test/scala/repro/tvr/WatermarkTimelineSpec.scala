@@ -85,6 +85,24 @@ class WatermarkTimelineSpec extends AnyFunSuite with PropSupport {
     assert(WatermarkTimeline.perfect(Nil, 100L).isEmpty)
   }
 
+  test("binary-searched at / firstPtimeAtOrAbove / firstPtimeAbove equal their linear definitions") {
+    // Monotone timelines with repeated ptimes and repeated values.
+    val steps = Gen.listOf(Gen.zip(Gen.choose(0L, 3L), Gen.choose(0L, 3L)))
+    val gen = for {
+      s     <- steps
+      probe <- Gen.listOfN(20, Gen.choose(-2L, 3L * s.size + 2))
+    } yield (s.scanLeft((0L, 0L)) { case ((p, v), (dp, dv)) => (p + dp, v + dv) }.drop(1).toVector, probe)
+    checkProp(Prop.forAll(gen) { case (adv, probes) =>
+      val w = WatermarkTimeline(adv)
+      probes.forall { x =>
+        val past = adv.takeWhile(_._1 <= x)
+        w.at(x) == (if (past.isEmpty) Long.MinValue else past.last._2) &&
+        w.firstPtimeAtOrAbove(x) == adv.find(_._2 >= x).map(_._1) &&
+        w.firstPtimeAbove(x) == adv.find(_._2 > x).map(_._1)
+      }
+    }, minTests = 200)
+  }
+
   test("tickPtimes lists distinct advance instants") {
     assert(wm.tickPtimes == Vector("8:07", "8:14", "8:16", "8:21").map(Times.hm))
   }
