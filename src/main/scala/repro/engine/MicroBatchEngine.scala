@@ -1,10 +1,8 @@
 package repro.engine
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Observation, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-
-import repro.tvr.Times
 
 /** Emission policy of the incremental engine — the engine-level analogue
   * of the EMIT modifiers (Extensions 4–6).
@@ -23,12 +21,17 @@ final case class BatchMetric(
     batch: Int,
     wmMs: Long,
     arrivedRows: Long,     // cumulative input rows seen
-    retainedRows: Long,    // input rows a general operator must keep
+    retainedRows: Long,    // input rows a general operator must keep: the
+                           // rows of every window still in state (all
+                           // arrivals under Continuous)
     stateWindows: Long,    // per-window aggregate state entries held
     emitted: Long,         // changelog rows emitted this batch
     dropped: Long,         // late rows dropped this batch
 )
 
+/** Outcome of one [[MicroBatchEngine.run]]. The totals and maxima fold
+  * `perBatch`; `finalOutput` is lazy and costs nothing until evaluated.
+  */
 final case class EngineResult(
     finalOutput: DataFrame, // (wstart, wend, bidtime, price, item)
     perBatch: Seq[BatchMetric],
@@ -53,9 +56,20 @@ final case class EngineResult(
   */
 final class MicroBatchEngine(spark: SparkSession) {
 
-  /** Run over `events` (columns bidtime, price, item, ptime). */
+  /** Run over `events` (columns bidtime, price, item, ptime).
+    *
+    * One aggregate over the persisted, batch-numbered input gives every
+    * batch's size and minimum event time, hence the perfect watermark.
+    * Each batch then runs one shuffle and one Spark action: the batch's
+    * rows and the state rows are unioned and grouped per window, the
+    * batch metrics are observed on that frame, and it is checkpointed.
+    * State rows are `(wstart, wend, top, n)`, `n` counting the input rows
+    * the window has absorbed, so the retained input is the sum of `n`
+    * over the windows left in state.
+    */
   def run(events: DataFrame, windowMs: Long, numBatches: Int, mode: EngineMode): EngineResult = {
-    val t0 = System.nanoTime()
+    val t0      = System.nanoTime()
+    val afterWm = mode == EngineMode.AfterWatermark
 
     val withBatch = events
       .withColumn("__batch", ntile(numBatches).over(Window.orderBy(col("ptime"), col("bidtime"))) - 1)
@@ -64,23 +78,25 @@ final class MicroBatchEngine(spark: SparkSession) {
       .withColumn("wend", timestamp_millis(
         floor(unix_millis(col("bidtime")) / windowMs) * windowMs + windowMs))
       .persist()
-    withBatch.count() // materialize
+
+    // Fills the cache; per batch: (rows, min bidtime).
+    val batchStats = withBatch
+      .groupBy("__batch").agg(count(lit(1)), min(unix_millis(col("bidtime"))))
+      .collect().map(r => r.getInt(0) -> (r.getLong(1), r.getLong(2))).toMap
 
     // Perfect watermark after each batch: (min bidtime of later batches) - 1.
-    val minsByBatch = withBatch
-      .groupBy("__batch").agg(min(unix_millis(col("bidtime"))).as("m"))
-      .collect().map(r => (r.getInt(0).toLong, r.getLong(1))).toMap
     val wmAfter = new Array[Long](numBatches)
     var running = Long.MaxValue / 2
     for (b <- (numBatches - 1) to 0 by -1) {
       wmAfter(b) = running - 1
-      running = math.min(running, minsByBatch.getOrElse(b.toLong, Long.MaxValue / 2))
+      running = math.min(running, batchStats.get(b).fold(Long.MaxValue / 2)(_._2))
     }
 
-    val topCol = struct(col("price"), col("bidtime"), col("item")).as("top")
+    val topCol = struct(col("price"), col("bidtime"), col("item"))
+    val wendMs = unix_millis(col("wend"))
 
-    var state: DataFrame = spark.emptyDataFrame
-    var stateInitialized = false
+    var state: DataFrame =
+      withBatch.where(lit(false)).select(col("wstart"), col("wend"), topCol.as("top"), lit(0L).as("n"))
     val metrics   = Vector.newBuilder[BatchMetric]
     var emittedT  = 0L
     var droppedT  = 0L
@@ -90,72 +106,51 @@ final class MicroBatchEngine(spark: SparkSession) {
     var wmPrev    = Long.MinValue
 
     for (b <- 0 until numBatches) {
-      val batchRaw = withBatch.where(col("__batch") === b)
-      val batchN   = batchRaw.count()
-      arrived += batchN
-
-      // Extension 2: inputs for already-complete groups are dropped.
-      val (batch, dropped) = mode match {
-        case EngineMode.AfterWatermark =>
-          val live = batchRaw.where(unix_millis(col("wend")) > wmPrev)
-          val d    = batchN - live.count()
-          (live, d)
-        case EngineMode.Continuous => (batchRaw, 0L)
-      }
-      droppedT += dropped
-
-      val batchAgg = batch
-        .groupBy("wstart", "wend")
-        .agg(max(struct(col("price"), col("bidtime"), col("item"))).as("top"))
-
-      // Merge into state; keep each window's previous top (`__old`, null
-      // for a new window) to count the changelog rows the merge emits.
-      val merged =
-        if (!stateInitialized)
-          batchAgg
-            .withColumn("__changed", lit(true))
-            .withColumn("__old", lit(null).cast(batchAgg.schema("top").dataType))
-        else {
-          val s = state.select(col("wstart"), col("wend"), col("top").as("__old"))
-          s.join(batchAgg.withColumnRenamed("top", "__new"), Seq("wstart", "wend"), "full_outer")
-            .withColumn("top",
-              when(col("__new").isNull, col("__old"))
-                .when(col("__old").isNull, col("__new"))
-                .when(col("__new") > col("__old"), col("__new"))
-                .otherwise(col("__old")))
-            .withColumn("__changed", col("__old").isNull || col("top") =!= col("__old"))
-            .select(col("wstart"), col("wend"), col("top"), col("__changed"), col("__old"))
-        }
-      val mergedP = merged.localCheckpoint(true)
-      stateInitialized = true
-
       val wm = wmAfter(b)
-      val (emitted, nextState) = mode match {
-        case EngineMode.Continuous =>
-          // Every changed window emits its new top, plus an undo of the
-          // previous top when one existed (a window's first materialization
-          // has none) — both counted in one action.
-          val counts = mergedP
-            .agg(count(when(col("__changed"), 1)), count(when(col("__changed") && col("__old").isNotNull, 1)))
-            .head()
-          (counts.getLong(0) + counts.getLong(1), mergedP.drop("__changed", "__old"))
-        case EngineMode.AfterWatermark =>
-          val closing = mergedP.where(unix_millis(col("wend")) <= wm)
-          val open    = mergedP.where(unix_millis(col("wend")) > wm)
-          (closing.count(), open.drop("__changed", "__old"))
-      }
-      state = nextState.localCheckpoint(true)
-      emittedT += emitted
+      arrived += batchStats.get(b).fold(0L)(_._1)
 
-      val stateWindows = state.count()
-      val retained = mode match {
-        case EngineMode.AfterWatermark =>
-          withBatch.where(col("__batch") <= b && unix_millis(col("wend")) > wm).count()
-        case EngineMode.Continuous => arrived
-      }
-      maxState = math.max(maxState, stateWindows)
-      maxRetain = math.max(maxRetain, retained)
-      metrics += BatchMetric(b, wm, arrived, retained, stateWindows, emitted, dropped)
+      // One row per window: the state's top (`__old`, null for a new
+      // window) and row count, and the batch's top and row count.
+      val batchRows = withBatch.where(col("__batch") === b)
+        .select(col("wstart"), col("wend"), topCol.as("__new"))
+      val stateRows = state
+        .select(col("wstart"), col("wend"), col("top").as("__old"), col("n").as("__n0"))
+      val merged = batchRows.unionByName(stateRows, allowMissingColumns = true)
+        .groupBy("wstart", "wend")
+        .agg(max("__old").as("__old"), max("__n0").as("__n0"),
+             max("__new").as("__new"), count("__new").as("__rows"))
+        .select(
+          col("wstart"), col("wend"), col("__old"), col("__rows"),
+          greatest(col("__old"), col("__new")).as("top"),
+          (coalesce(col("__n0"), lit(0L)) + col("__rows")).as("n"),
+          // Extension 2: inputs for already-complete windows are dropped;
+          // such a window was closed before this batch, so not in state.
+          (lit(afterWm) && wendMs <= wmPrev).as("__late"),
+          (lit(afterWm) && wendMs <= wm).as("__closed"),
+          (col("__new").isNotNull && (col("__old").isNull || col("__new") > col("__old"))).as("__raised"))
+
+      val live    = !col("__late")
+      val changed = live && col("__raised")
+      val open    = !col("__closed")
+      val obs     = new Observation(s"batch-$b")
+      val checkpointed = merged.observe(obs,
+          coalesce(sum(when(col("__late"), col("__rows"))), lit(0L)).as("dropped"),
+          count(when(changed, 1)).as("changed"),
+          // A changed window with a previous top also emits its undo.
+          count(when(changed && col("__old").isNotNull, 1)).as("undo"),
+          count(when(live && col("__closed"), 1)).as("closing"),
+          count(when(open, 1)).as("open"),
+          coalesce(sum(when(open, col("n"))), lit(0L)).as("retained"))
+        .localCheckpoint(true)
+      val m = obs.get.view.mapValues(_.asInstanceOf[Long]).toMap
+      state = checkpointed.where(open).select(col("wstart"), col("wend"), col("top"), col("n"))
+
+      val emitted = if (afterWm) m("closing") else m("changed") + m("undo")
+      emittedT += emitted
+      droppedT += m("dropped")
+      maxState = math.max(maxState, m("open"))
+      maxRetain = math.max(maxRetain, m("retained"))
+      metrics += BatchMetric(b, wm, arrived, m("retained"), m("open"), emitted, m("dropped"))
       wmPrev = wm
     }
 
@@ -188,7 +183,4 @@ final class MicroBatchEngine(spark: SparkSession) {
     withBatch.unpersist()
     res
   }
-
-  /** Human-readable watermark for logs. */
-  def fmtWm(ms: Long): String = if (ms <= Long.MinValue / 4) "-inf" else Times.fmt(ms)
 }
